@@ -1,6 +1,7 @@
 package db
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -269,87 +270,207 @@ func TestDiffSumAgg(t *testing.T) {
 	}
 }
 
+// diffLayouts are the table sizings every hash-build, probe and grouping
+// case runs under, in this order on one pooled table, so the cases also
+// recycle it direct -> hashed -> direct:
+//
+//   - direct: planned over the keys' own bounds (direct unless the span is
+//     too wide, which diffKeySet.direct states);
+//   - hashed: planned over the whole int64 range, which is always hashed;
+//   - unsized: never planned, a zero table growing on demand;
+//   - outgrown: planned over the smallest key alone, so the first other
+//     key lands outside the span and converts the table;
+//   - member: planned as a membership table, so the first value other than
+//     1 converts it.
+var diffLayouts = []string{"direct", "hashed", "unsized", "outgrown", "member"}
+
+// diffKeySet is one key column of the hash and grouping cases; direct
+// says whether planning over its bounds picks the direct representation.
+type diffKeySet struct {
+	name   string
+	keys   []int64
+	direct bool
+}
+
+// diffKeySets returns n keys drawn from [0, span) (duplicates forced) and
+// n keys with negatives, duplicated extremes and both int64 limits, whose
+// span overflows int64 and must stay hashed.
+func diffKeySets(r *diffRNG, n, span int) []diffKeySet {
+	wide := genI64(r, n, span)
+	for i := range wide {
+		wide[i] -= int64(span / 2)
+	}
+	if n > 0 {
+		wide[0] = math.MinInt64
+	}
+	if n > 1 {
+		wide[n-1] = math.MaxInt64
+	}
+	if n > 2 {
+		wide[n/2] = math.MinInt64
+	}
+	return []diffKeySet{
+		{"dense", genI64(r, n, span), true},
+		{"extremes", wide, n < 2},
+	}
+}
+
+// planLayout plans m for keys under the named layout and checks the
+// representation planning picked.
+func planLayout[V int64 | float64](t *testing.T, label string, m *table[V], layout string, ks diffKeySet, member bool) {
+	t.Helper()
+	n, lo, hi := keyBounds([]*BAT{NewI64("k", ks.keys)})
+	switch layout {
+	case "direct":
+		m.plan(n, lo, hi, member)
+		if n > 0 && m.direct != ks.direct {
+			t.Fatalf("%s: planned direct=%v, want %v", label, m.direct, ks.direct)
+		}
+	case "hashed":
+		m.plan(n, math.MinInt64, math.MaxInt64, member)
+		if m.direct {
+			t.Fatalf("%s: planning over the int64 range went direct", label)
+		}
+	case "outgrown":
+		m.plan(n, lo, lo, member)
+	case "member":
+		m.plan(n, lo, hi, true)
+	}
+}
+
+// checkTable compares m with the reference entries: size, every lookup,
+// key bounds, a miss, and Range (ascending when the table says so). It also checks
+// that the layouts meant to convert a direct table did.
+func checkTable[V int64 | float64](t *testing.T, label string, m *table[V], layout string, want map[int64]V) {
+	t.Helper()
+	if m.Len() != len(want) {
+		t.Fatalf("%s: table holds %d keys, want %d", label, m.Len(), len(want))
+	}
+	non1, lo, hi := false, int64(math.MaxInt64), int64(math.MinInt64)
+	for k, v := range want {
+		if gv, ok := m.Get(k); !ok || gv != v {
+			t.Fatalf("%s: key %d = (%v, %v), want (%v, true)", label, k, gv, ok, v)
+		}
+		non1 = non1 || v != 1
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if glo, ghi := m.bounds(); len(want) > 0 && (glo != lo || ghi != hi) {
+		t.Fatalf("%s: bounds [%d, %d], want [%d, %d]", label, glo, ghi, lo, hi)
+	}
+	if _, ok := want[-3]; !ok {
+		if _, hit := m.Get(-3); hit {
+			t.Fatalf("%s: absent key -3 found", label)
+		}
+	}
+	seen, prev := 0, int64(math.MinInt64)
+	m.Range(func(k int64, v V) {
+		if wv, ok := want[k]; !ok || wv != v {
+			t.Fatalf("%s: Range visited (%d, %v), want (%v, %v)", label, k, v, wv, ok)
+		}
+		if m.direct && seen > 0 && k <= prev {
+			t.Fatalf("%s: direct Range visited %d after %d", label, k, prev)
+		}
+		seen, prev = seen+1, k
+	})
+	if seen != len(want) {
+		t.Fatalf("%s: Range visited %d entries, want %d", label, seen, len(want))
+	}
+	if m.direct && (layout == "outgrown" && len(want) > 1 || layout == "member" && non1) {
+		t.Fatalf("%s: table stayed direct", label)
+	}
+}
+
 func TestDiffHashBuild(t *testing.T) {
+	var pool bufPool
 	for _, seed := range diffSeeds {
 		r := newDiffRNG(seed)
 		for _, size := range diffSizes(r) {
-			keys := NewI64("k", genI64(r, size, size/2+1)) // forced duplicates
-			cases := []struct {
-				name string
-				vals *BAT
-			}{
-				{"membership", nil},
-				{"payload-i64", NewI64("v", genI64(r, size, 1000))},
-				{"payload-f64", NewF64("v", genF64(r, size))},
-			}
-			for _, tc := range cases {
-				want := map[int64]int64{}
-				for i, k := range keys.I {
-					payload := int64(1)
-					if tc.vals != nil {
-						if tc.vals.Kind == KindI64 {
-							payload = tc.vals.I[i]
-						} else {
-							payload = int64(tc.vals.F[i])
+			for _, ks := range diffKeySets(r, size, size/2+1) {
+				keys := NewI64("k", ks.keys)
+				cases := []struct {
+					name string
+					vals *BAT
+				}{
+					{"membership", nil},
+					{"payload-i64", NewI64("v", genI64(r, size, 1000))},
+					{"payload-f64", NewF64("v", genF64(r, size))},
+				}
+				for _, tc := range cases {
+					want := map[int64]int64{}
+					for i, k := range keys.I {
+						payload := int64(1)
+						if tc.vals != nil {
+							if tc.vals.Kind == KindI64 {
+								payload = tc.vals.I[i]
+							} else {
+								payload = int64(tc.vals.F[i])
+							}
 						}
+						want[k] = payload
 					}
-					want[k] = payload
-				}
-				set := &i64Map{}
-				op := NewHashBuild(keys, tc.vals, set)
-				got, _ := drain(op, r)
-				eqI64(t, tc.name, got, []int64{int64(len(want))})
-				if set.Len() != len(want) {
-					t.Fatalf("%s: table holds %d keys, want %d", tc.name, set.Len(), len(want))
-				}
-				for k, v := range want {
-					if gv, ok := set.Get(k); !ok || gv != v {
-						t.Fatalf("%s: key %d = (%d, %v), want (%d, true)", tc.name, k, gv, ok, v)
+					for _, layout := range diffLayouts {
+						label := ks.name + "/" + tc.name + "/" + layout
+						set := pool.getMapII()
+						planLayout(t, label, set, layout, ks, tc.vals == nil)
+						op := NewHashBuild(keys, tc.vals, set)
+						got, _ := drain(op, r)
+						eqI64(t, label, got, []int64{int64(len(want))})
+						checkTable(t, label, set, layout, want)
+						eqCycles(t, label, op, uint64(size)*cyclesBuild)
+						pool.putMapII(set)
 					}
 				}
-				eqCycles(t, tc.name, op, uint64(size)*cyclesBuild)
 			}
 		}
 	}
 }
 
 func TestDiffHashProbe(t *testing.T) {
+	var pool bufPool
 	for _, seed := range diffSeeds {
 		r := newDiffRNG(seed)
 		for _, size := range diffSizes(r) {
 			col := NewI64("c", genI64(r, size, 50))
+			for i := range col.I {
+				col.I[i] -= 5 // a few negative probes
+			}
 			cand := NewI64("cand", genCand(r, size))
+			type put struct{ k, v int64 }
+			var mixed, all, ones []put
+			for v := int64(0); v < 50; v++ {
+				if v < 25 {
+					mixed = append(mixed, put{v, v * 10})
+				}
+				all = append(all, put{v, v})
+				if v%2 == 0 {
+					ones = append(ones, put{v, 1})
+				}
+			}
 			sets := []struct {
-				name string
-				fill func(*i64Map)
+				name   string
+				puts   []put
+				direct bool
 			}{
-				{"mixed", func(m *i64Map) {
-					for v := int64(0); v < 25; v++ {
-						m.Put(v, v*10)
-					}
-				}},
-				{"all-match", func(m *i64Map) {
-					for v := int64(0); v < 50; v++ {
-						m.Put(v, v)
-					}
-				}},
-				{"none-match", func(*i64Map) {}},
+				{"mixed", mixed, true},
+				{"all-match", all, true},
+				{"none-match", nil, true},
+				{"member-ones", ones, true},
+				{"extremes", []put{{math.MinInt64, 7}, {-4, 2}, {-1, 1}, {0, 0}, {3, 30}, {3, 31}, {math.MaxInt64, 9}}, false},
 			}
 			for _, sc := range sets {
+				want := map[int64]int64{}
+				ks := diffKeySet{name: sc.name, direct: sc.direct}
+				for _, p := range sc.puts {
+					want[p.k] = p.v
+					ks.keys = append(ks.keys, p.k)
+				}
 				for _, mode := range []struct {
 					name        string
 					anti, fetch bool
 				}{{"semi", false, false}, {"anti", true, false}, {"fetch", false, true}} {
-					set := &i64Map{}
-					sc.fill(set)
-					want := map[int64]int64{}
-					set.Range(func(k, v int64) { want[k] = v })
 					var wantIDs, wantPays []int64
 					for _, oid := range cand.I {
-						payload, hit := want[col.I[oid]], false
-						if _, ok := want[col.I[oid]]; ok {
-							hit = true
-						}
+						payload, hit := want[col.I[oid]]
 						if hit == mode.anti {
 							continue
 						}
@@ -358,14 +479,23 @@ func TestDiffHashProbe(t *testing.T) {
 							wantPays = append(wantPays, payload)
 						}
 					}
-					label := sc.name + "/" + mode.name
-					op := NewHashProbe(col, cand, set, mode.anti, mode.fetch, nil, nil)
-					got, _ := drain(op, r)
-					eqI64(t, label, got, wantIDs)
-					if mode.fetch {
-						eqI64(t, label+" payloads", op.Payloads(), wantPays)
+					for _, layout := range diffLayouts {
+						label := sc.name + "/" + mode.name + "/" + layout
+						set := pool.getMapII()
+						planLayout(t, label, set, layout, ks, false)
+						for _, p := range sc.puts {
+							set.Put(p.k, p.v)
+						}
+						checkTable(t, label, set, layout, want)
+						op := NewHashProbe(col, cand, set, mode.anti, mode.fetch, nil, nil)
+						got, _ := drain(op, r)
+						eqI64(t, label, got, wantIDs)
+						if mode.fetch {
+							eqI64(t, label+" payloads", op.Payloads(), wantPays)
+						}
+						eqCycles(t, label, op, uint64(cand.Len())*cyclesProbe)
+						pool.putMapII(set)
 					}
-					eqCycles(t, label, op, uint64(cand.Len())*cyclesProbe)
 				}
 			}
 		}
@@ -373,45 +503,54 @@ func TestDiffHashProbe(t *testing.T) {
 }
 
 func TestDiffGroupAgg(t *testing.T) {
+	var pool bufPool
 	for _, seed := range diffSeeds {
 		r := newDiffRNG(seed)
 		for _, size := range diffSizes(r) {
-			keys := NewI64("k", genI64(r, size, size/4+1))
-			for _, tc := range []struct {
-				name string
-				vals *BAT
-			}{{"count", nil}, {"sum", NewF64("v", genF64(r, size))}} {
-				want := map[int64]float64{}
-				for i, k := range keys.I {
-					v := 1.0
-					if tc.vals != nil {
-						v = tc.vals.F[i]
+			for _, ks := range diffKeySets(r, size, size/4+1) {
+				keys := NewI64("k", ks.keys)
+				for _, tc := range []struct {
+					name string
+					vals *BAT
+				}{{"count", nil}, {"sum", NewF64("v", genF64(r, size))}} {
+					want := map[int64]float64{}
+					for i, k := range keys.I {
+						v := 1.0
+						if tc.vals != nil {
+							v = tc.vals.F[i]
+						}
+						want[k] += v
 					}
-					want[k] += v
-				}
-				wantKeys := make([]int64, 0, len(want))
-				for k := range want {
-					wantKeys = append(wantKeys, k)
-				}
-				sort.Slice(wantKeys, func(a, b int) bool { return wantKeys[a] < wantKeys[b] })
+					wantKeys := make([]int64, 0, len(want))
+					for k := range want {
+						wantKeys = append(wantKeys, k)
+					}
+					sort.Slice(wantKeys, func(a, b int) bool { return wantKeys[a] < wantKeys[b] })
+					wantSums := make([]float64, len(wantKeys))
+					for i, k := range wantKeys {
+						wantSums[i] = want[k]
+					}
 
-				agg := &i64fMap{}
-				op := NewGroupAgg(keys, tc.vals, agg)
-				got, _ := drain(op, r)
-				eqI64(t, tc.name, got, wantKeys)
-				consumed := uint64(size) * cyclesGroup
-				eqCycles(t, tc.name, op, consumed)
+					for _, layout := range diffLayouts {
+						label := ks.name + "/" + tc.name + "/" + layout
+						agg := pool.getMapIF()
+						planLayout(t, label, agg, layout, ks, false)
+						op := NewGroupAgg(keys, tc.vals, agg)
+						got, _ := drain(op, r)
+						eqI64(t, label, got, wantKeys)
+						consumed := uint64(size) * cyclesGroup
+						eqCycles(t, label, op, consumed)
+						checkTable(t, label, agg, layout, want)
 
-				gk, gs := op.Finalize()
-				eqI64(t, tc.name+" finalize keys", gk, wantKeys)
-				wantSums := make([]float64, len(wantKeys))
-				for i, k := range wantKeys {
-					wantSums[i] = want[k]
+						gk, gs := op.Finalize()
+						eqI64(t, label+" finalize keys", gk, wantKeys)
+						eqF64(t, label+" finalize sums", gs, wantSums)
+						// Finalize charges the engine's merge formula on top.
+						eqCycles(t, label+" finalized", op,
+							consumed+uint64(agg.Len())*cyclesGroup+uint64(len(gk))*cyclesSort)
+						pool.putMapIF(agg)
+					}
 				}
-				eqF64(t, tc.name+" finalize sums", gs, wantSums)
-				// Finalize charges the engine's merge formula on top.
-				eqCycles(t, tc.name+" finalized", op,
-					consumed+uint64(agg.Len())*cyclesGroup+uint64(len(gk))*cyclesSort)
 			}
 		}
 	}
@@ -470,6 +609,34 @@ func TestDiffSortLimit(t *testing.T) {
 				eqI64(t, "topn keys", got, wantKeys)
 				eqF64(t, "topn sums", op.Sums(), wantSums)
 				eqCycles(t, "topn", op, uint64(size)*cyclesSort)
+			}
+		}
+	}
+	// topNIndex must rank exactly as the sort.SliceStable call it
+	// replaced, NaNs included, on inputs long enough to merge sorted runs.
+	r := newDiffRNG(99)
+	for _, size := range []int{0, 5, 21, 300, 2000 + r.intn(500)} {
+		sums := make([]float64, size)
+		for i := range sums {
+			sums[i] = float64(r.intn(8))
+			if r.intn(10) == 0 {
+				sums[i] = math.NaN()
+			}
+		}
+		old := make([]int, size)
+		for i := range old {
+			old[i] = i
+		}
+		sort.SliceStable(old, func(a, b int) bool { return sums[old[a]] > sums[old[b]] })
+		for _, n := range []int{0, 1, size / 2, size} {
+			got := topNIndex(sums, n)
+			if len(got) != min(n, size) {
+				t.Fatalf("topNIndex(%d rows, %d) returned %d rows", size, n, len(got))
+			}
+			for i := range got {
+				if got[i] != old[i] {
+					t.Fatalf("topNIndex(%d rows, %d): rank %d is row %d, sort.SliceStable says %d", size, n, i, got[i], old[i])
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"elasticore/internal/numa"
@@ -409,7 +410,11 @@ func ThetaSelect(table, col, out string, p Pred) StageFn {
 		for i, r := range ranges {
 			i, r := i, r
 			t := newChunkTask("algebra.thetasubselect", q.Machine(), []*BAT{c}, r[0], r[1], cyclesScan)
-			op := NewFilterScan(c, predFor(q, p), r[0], r[1], q.scratchI64((r[1]-r[0])/2))
+			want := (r[1] - r[0]) / 2
+			if p.form == predAll {
+				want = r[1] - r[0] // every row survives
+			}
+			op := NewFilterScan(c, predFor(q, p), r[0], r[1], q.scratchI64(want))
 			t.process = op.runRange
 			t.finish = func(*sched.ExecContext) []*BAT {
 				q.ownI64(op.ids)
@@ -626,6 +631,8 @@ func BuildMap(keysVar, valsVar, setName string) StageFn {
 		t := &funcTask{op: "hash.build", pref: numa.NoNode}
 		t.work = func(ctx *sched.ExecContext) uint64 {
 			m := q.scratchMapII()
+			n, lo, hi := keyBounds(keys.Parts)
+			m.plan(n, lo, hi, vals == nil)
 			var cost uint64
 			for pi, frag := range keys.Parts {
 				if frag == nil || frag.Len() == 0 {
@@ -800,7 +807,10 @@ func GroupSum(keysVar, valsVar, partialsName string) StageFn {
 			if countMode {
 				aggIn = nil
 			}
-			op := NewGroupAgg(kf, aggIn, q.scratchMapIF())
+			agg := q.scratchMapIF()
+			n, lo, hi := keyBounds(keys.Parts[i : i+1])
+			agg.plan(n, lo, hi, false)
+			op := NewGroupAgg(kf, aggIn, agg)
 			t.process = op.runRange
 			t.finish = func(*sched.ExecContext) []*BAT {
 				partials[i] = op.agg
@@ -821,23 +831,28 @@ func GroupMerge(partialsName, outKeys, outSums string) StageFn {
 		merge := &funcTask{op: "mat.pack", pref: numa.NoNode}
 		merge.work = func(ctx *sched.ExecContext) uint64 {
 			total := q.scratchMapIF()
-			n := 0
+			n, lo, hi := partialBounds(partials)
+			total.plan(n, lo, hi, false)
 			for _, m := range partials {
-				if m == nil {
-					continue
+				if m != nil {
+					m.Range(total.Add)
 				}
-				m.Range(func(k int64, v float64) {
-					total.Add(k, v)
-					n++
-				})
 			}
 			ks := q.scratchI64(total.Len())
-			total.Range(func(k int64, _ float64) { ks = append(ks, k) })
-			slices.Sort(ks)
-			sums := q.scratchF64(len(ks))[:len(ks)]
-			for i, k := range ks {
-				v, _ := total.Get(k)
-				sums[i] = v
+			sums := q.scratchF64(total.Len())
+			if total.direct { // Range is already ascending
+				total.Range(func(k int64, v float64) {
+					ks = append(ks, k)
+					sums = append(sums, v)
+				})
+			} else {
+				total.Range(func(k int64, _ float64) { ks = append(ks, k) })
+				slices.Sort(ks)
+				sums = sums[:len(ks)]
+				for i, k := range ks {
+					v, _ := total.Get(k)
+					sums[i] = v
+				}
 			}
 			q.ownI64(ks)
 			q.ownF64(sums)
@@ -851,6 +866,38 @@ func GroupMerge(partialsName, outKeys, outSums string) StageFn {
 		}
 		return []Task{merge}
 	}
+}
+
+// keyBounds returns the row count and the smallest and largest key of the
+// given integer fragments (nil fragments skipped): the sizing input of a
+// build or grouping table.
+func keyBounds(parts []*BAT) (n int, lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, f := range parts {
+		if f == nil {
+			continue
+		}
+		for _, k := range f.I {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		n += len(f.I)
+	}
+	return n, lo, hi
+}
+
+// partialBounds returns the sizing input of a merge table: the partials'
+// total entry count and the union of their key bounds.
+func partialBounds(partials []*i64fMap) (n int, lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, m := range partials {
+		if m == nil || m.Len() == 0 {
+			continue
+		}
+		mlo, mhi := m.bounds()
+		lo, hi = min(lo, mlo), max(hi, mhi)
+		n += m.Len()
+	}
+	return n, lo, hi
 }
 
 // GroupFilter plans a single task dropping merged groups whose sum fails

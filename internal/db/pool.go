@@ -57,6 +57,16 @@ func startClass(capacity int) int {
 	return c
 }
 
+// classCap rounds a fresh buffer's capacity up to a power of two, which
+// files it in startClass(capacity): a repeat of the same request then
+// finds it, where an exact-size buffer would sit one bucket below.
+func classCap(capacity int) int {
+	if capacity < 2 {
+		return capacity
+	}
+	return 1 << bits.Len(uint(capacity-1))
+}
+
 // getI64 returns a zero-length buffer with at least the given capacity.
 func (p *bufPool) getI64(capacity int) []int64 {
 	for c := startClass(capacity); c < poolClasses; c++ {
@@ -73,7 +83,7 @@ func (p *bufPool) getI64(capacity int) []int64 {
 			break
 		}
 	}
-	return make([]int64, 0, capacity)
+	return make([]int64, 0, classCap(capacity))
 }
 
 func (p *bufPool) putI64(buf []int64) {
@@ -101,7 +111,7 @@ func (p *bufPool) getF64(capacity int) []float64 {
 			break
 		}
 	}
-	return make([]float64, 0, capacity)
+	return make([]float64, 0, classCap(capacity))
 }
 
 func (p *bufPool) putF64(buf []float64) {

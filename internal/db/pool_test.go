@@ -123,6 +123,10 @@ func TestPoolRoundTripsDoNotAllocate(t *testing.T) {
 		{"map-if", func() { p.putMapIF(p.getMapIF()) }},
 		{"map-ii", func() { p.putMapII(p.getMapII()) }},
 		{"dispatched", func() { p.putDispatched(p.getDispatched()) }},
+		// Unwarmed, not a power of two: the first call's fresh buffer
+		// must serve every repeat of the same request.
+		{"i64-fresh", func() { p.putI64(p.getI64(3000)) }},
+		{"f64-fresh", func() { p.putF64(p.getF64(3000)) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {

@@ -1,6 +1,6 @@
 package db
 
-import "sort"
+import "slices"
 
 // vops.go is the pluggable vectorized operator layer. Each operator of
 // the MAL-like set — leaf filter scans, candidate refinement, gather
@@ -466,7 +466,7 @@ func (ga *GroupAgg) Result() *i64fMap { return ga.agg }
 func (ga *GroupAgg) Finalize() (keys []int64, sums []float64) {
 	keys = make([]int64, 0, ga.agg.Len())
 	ga.agg.Range(func(k int64, _ float64) { keys = append(keys, k) })
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
 	sums = make([]float64, len(keys))
 	for i, k := range keys {
 		v, _ := ga.agg.Get(k)
@@ -501,7 +501,7 @@ func (ga *GroupAgg) Next(n int) *BAT {
 	ga.emitted = true
 	ks := make([]int64, 0, ga.agg.Len())
 	ga.agg.Range(func(k int64, _ float64) { ks = append(ks, k) })
-	sort.Slice(ks, func(a, b int) bool { return ks[a] < ks[b] })
+	slices.Sort(ks)
 	return NewI64(ga.keys.Name+".group", ks)
 }
 
@@ -513,7 +513,17 @@ func topNIndex(sums []float64, n int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return sums[idx[a]] > sums[idx[b]] })
+	// Only "a before b" matters to the stable sort, so unordered pairs
+	// (ties and NaNs) compare equal, exactly as under sort.SliceStable.
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch {
+		case sums[a] > sums[b]:
+			return -1
+		case sums[a] < sums[b]:
+			return 1
+		}
+		return 0
+	})
 	if n > len(idx) {
 		n = len(idx)
 	}
