@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"strconv"
 
 	"elasticore/internal/deque"
 	"elasticore/internal/numa"
@@ -283,10 +284,14 @@ func (e *Engine) startQuery(q *Query) {
 		// handler; the OS balancer spreads them afterwards (the stolen
 		// tasks of Fig 13 (d)).
 		home := numa.NodeID(q.ID % e.machine.Topology().NodeCount)
+		// Thread names read "q<id>-w<i>"; one stack buffer holds the
+		// shared prefix.
+		var buf [48]byte
+		prefix := append(strconv.AppendInt(append(buf[:0], 'q'), int64(q.ID), 10), "-w"...)
 		for i := 0; i < e.cfg.Workers; i++ {
 			w := &worker{eng: e, id: i, pinnedNode: numa.NoNode, query: q}
-			w.thread = e.sched.Spawn(e.cfg.PID, fmt.Sprintf("q%d-w%d", q.ID, i), w,
-				sched.NearNode(home))
+			name := string(strconv.AppendInt(prefix, int64(i), 10))
+			w.thread = e.sched.Spawn(e.cfg.PID, name, w, sched.NearNode(home))
 		}
 	}
 	e.advance(q)

@@ -297,19 +297,15 @@ func (h *cacheHierarchy) access(core CoreID, b BlockID) lookupLevel {
 func (h *cacheHierarchy) invalidateRemote(writerCore CoreID, b BlockID) int {
 	writerNode := h.topo.NodeOf(writerCore)
 	invalidated := 0
-	for n := 0; n < h.topo.NodeCount; n++ {
-		if NodeID(n) == writerNode {
-			continue
-		}
-		if h.shared[n].Invalidate(b) {
+	for n := range h.shared {
+		if NodeID(n) != writerNode && h.shared[n].Invalidate(b) {
 			invalidated++
 		}
-		for _, c := range h.topo.Cores(NodeID(n)) {
-			h.private[c].Invalidate(b)
-		}
 	}
-	for _, c := range h.topo.Cores(writerNode) {
-		if c != writerCore {
+	// Every private cache but the writer's loses its copy; each is
+	// independent, so the order does not matter.
+	for c := range h.private {
+		if CoreID(c) != writerCore {
 			h.private[c].Invalidate(b)
 		}
 	}

@@ -36,7 +36,7 @@ func (g *CGroup) PIDs() []int {
 // AddPID places a process (and its future threads) under the group.
 func (g *CGroup) AddPID(pid int) {
 	g.pids[pid] = true
-	g.sched.pidGroup[pid] = g
+	g.sched.procOf(pid).group = g
 	g.sched.reconcileGroup(g)
 }
 

@@ -85,15 +85,17 @@ func (s CPUSet) NodesTouched(t *numa.Topology) []numa.NodeID {
 	return out
 }
 
-// CoresOnNode returns the member cores belonging to node n.
+// CoresOnNode returns the member cores belonging to node n in ascending
+// order.
 func (s CPUSet) CoresOnNode(t *numa.Topology, n numa.NodeID) []numa.CoreID {
-	var out []numa.CoreID
-	for _, c := range t.Cores(n) {
-		if s.Contains(c) {
-			out = append(out, c)
-		}
-	}
-	return out
+	return (s & nodeSet(t, n)).Cores()
+}
+
+// nodeSet returns the set of node n's cores. Cores are numbered d*n+j
+// (numa.Topology.CoreOf), so a node is one contiguous bit range.
+func nodeSet(t *numa.Topology, n numa.NodeID) CPUSet {
+	d := uint(t.CoresPerNode)
+	return (CPUSet(1)<<d - 1) << (uint(n) * d)
 }
 
 // String renders the set in cpuset-list style, e.g. "0-3,8".

@@ -65,6 +65,11 @@ func TestCPUSetNodesTouched(t *testing.T) {
 	if len(on0) != 2 || on0[0] != 0 || on0[1] != 1 {
 		t.Errorf("CoresOnNode(0) = %v", on0)
 	}
+	for _, n := range []numa.NodeID{-1, numa.NodeID(topo.NodeCount)} {
+		if got := FullSet(topo).CoresOnNode(topo, n); len(got) != 0 {
+			t.Errorf("CoresOnNode(%d) outside the topology = %v", n, got)
+		}
+	}
 }
 
 func TestCPUSetString(t *testing.T) {

@@ -64,13 +64,59 @@ func chaosArrivalTicks(seed int64, n, horizon int) []int {
 	return ticks
 }
 
+// checkedWakeAll calls s.WakeAll(pid) against a reference oracle built
+// from every handle Spawn returned (threads, in spawn order): exactly
+// the pid's Blocked threads must become Runnable, every other handle
+// must keep its state, and on each core the woken threads must sit at
+// the head of the queue in wake order — each wake-up goes to the front,
+// so reading a head run from its last entry to its first gives
+// ascending TIDs.
+func checkedWakeAll(t *testing.T, s *Scheduler, threads []*Thread, pid int) {
+	t.Helper()
+	before := make([]State, len(threads))
+	var want []*Thread
+	for i, th := range threads {
+		before[i] = th.State()
+		if th.PID == pid && before[i] == Blocked {
+			want = append(want, th)
+		}
+	}
+	s.WakeAll(pid)
+	woken := make(map[*Thread]bool, len(want))
+	for _, th := range want {
+		woken[th] = true
+	}
+	for i, th := range threads {
+		switch got := th.State(); {
+		case woken[th] && got != Runnable:
+			t.Fatalf("WakeAll(%d): blocked thread %d is %v, want runnable", pid, th.ID, got)
+		case !woken[th] && got != before[i]:
+			t.Fatalf("WakeAll(%d): thread %d (pid %d) went %v -> %v", pid, th.ID, th.PID, before[i], got)
+		}
+	}
+	perCore := make(map[numa.CoreID][]*Thread)
+	for _, th := range want { // ascending TID: spawn order
+		perCore[th.Core()] = append(perCore[th.Core()], th)
+	}
+	for core, ths := range perCore {
+		q := &s.queues[core]
+		for i, th := range ths {
+			if at := q.At(len(ths) - 1 - i); at != th {
+				t.Fatalf("WakeAll(%d): core %d queue slot %d holds thread %d, want %d",
+					pid, core, len(ths)-1-i, at.ID, th.ID)
+			}
+		}
+	}
+}
+
 // runChaos drives one scheduler through a scripted random workload —
 // 24 threads present from the start plus an open-loop wave arriving at
 // scripted ticks — and returns its observable end state, including how
 // many threads completed and each arrival's queue wait (spawn-to-exit
 // time minus its own runtime is scheduler-dependent, so lifespans are
-// compared directly).
-func runChaos(naive bool, seed int64) (Stats, []int, numa.Counters, int, []uint64) {
+// compared directly). Every WakeAll is checked against checkedWakeAll's
+// oracle.
+func runChaos(t *testing.T, naive bool, seed int64) (Stats, []int, numa.Counters, int, []uint64) {
 	machine := numa.NewMachine(numa.Opteron8387())
 	s := New(machine, Config{Naive: naive})
 	rng := rand.New(rand.NewSource(seed))
@@ -95,7 +141,7 @@ func runChaos(naive bool, seed int64) (Stats, []int, numa.Counters, int, []uint6
 		s.Tick()
 		// Periodically wake blocked threads, like an engine would.
 		if tick%7 == 0 {
-			s.WakeAll(1 + tick%3)
+			checkedWakeAll(t, s, threads, 1+tick%3)
 		}
 		if tick%13 == 0 {
 			for _, th := range threads {
@@ -132,8 +178,8 @@ func runChaos(naive bool, seed int64) (Stats, []int, numa.Counters, int, []uint6
 // per-arrival lifespans.
 func TestFastForwardMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		nStats, nQueues, nSnap, nDone, nWaits := runChaos(true, seed)
-		fStats, fQueues, fSnap, fDone, fWaits := runChaos(false, seed)
+		nStats, nQueues, nSnap, nDone, nWaits := runChaos(t, true, seed)
+		fStats, fQueues, fSnap, fDone, fWaits := runChaos(t, false, seed)
 		if nStats != fStats {
 			t.Errorf("seed %d: stats diverged\nnaive: %+v\nfast:  %+v", seed, nStats, fStats)
 		}

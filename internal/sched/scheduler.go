@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"elasticore/internal/deque"
@@ -22,7 +23,7 @@ type Config struct {
 	BalanceThreshold int
 	// Naive selects the original fixed-quantum tick loop: every core is
 	// walked every quantum (idle or not), each run slice allocates a fresh
-	// ExecContext, and WakeAll scans the global thread table. It exists so
+	// ExecContext, and WakeAll sorts its gathered wake set. It exists so
 	// equivalence tests and the bench harness can verify that the
 	// event-driven fast path produces bit-identical Stats, counters and
 	// query results; production callers leave it false.
@@ -63,17 +64,31 @@ type RunSlice struct {
 	Cycles uint64
 }
 
-// blockedSet tracks one process's Blocked threads in ascending-TID order,
-// giving WakeAll its wake order without scanning the global thread table.
-// The order is kept in a ring deque because the churn is directional:
-// WakeAll pushes woken threads to their queues' heads in ascending TID
-// order, so they re-block mostly in descending TID order — a front insert
-// here — while freshly spawned threads block at the back. Middle inserts
-// are the rare case. scratch is the drain buffer, reused so a steady-state
-// WakeAll allocates nothing.
-type blockedSet struct {
-	items   deque.Deque[*Thread]
-	scratch []*Thread
+// proc is the scheduler's one record of a process: the cgroup it was
+// last added to (nil = the root cpuset) and its threads in spawn order,
+// which is ascending TID order. Done threads stay in threads until
+// WakeAll or Spawn compacts them out; live counts the others.
+type proc struct {
+	group   *CGroup
+	threads []*Thread
+	live    int
+}
+
+// compactSlack is how far a process's thread list may outgrow twice its
+// live count before Spawn compacts it, keeping the compaction amortized
+// O(1) per spawn for a process that never calls WakeAll.
+const compactSlack = 16
+
+// compact drops Done threads from the list, keeping spawn order.
+func (p *proc) compact() {
+	kept := p.threads[:0]
+	for _, t := range p.threads {
+		if t.state != Done {
+			kept = append(kept, t)
+		}
+	}
+	clear(p.threads[len(kept):])
+	p.threads = kept
 }
 
 // Scheduler is the OS CPU scheduler model.
@@ -85,17 +100,19 @@ type Scheduler struct {
 	queues  []deque.Deque[*Thread] // per-core FIFO run queues
 	queued  int                    // total queued (runnable) threads
 	surplus int                    // queues holding >= 2 threads (steal candidates)
-	threads map[TID]*Thread
 	nextTID TID
 
-	// blocked indexes Blocked threads by owning PID so WakeAll is O(woken)
-	// instead of O(all threads * log). It is maintained in both scheduler
-	// modes; only WakeAll's lookup strategy differs under Config.Naive.
-	blocked map[int]*blockedSet
+	// procs holds each PID's record: its cgroup and its threads. A
+	// Blocked thread is only a state on its record's list; WakeAll finds
+	// it by scanning that list, in both scheduler modes.
+	procs map[int]*proc
+	// wakeBatch is WakeAll's gather buffer, reused so a steady-state
+	// WakeAll allocates nothing.
+	wakeBatch []*Thread
 
 	groups   map[string]*CGroup
-	pidGroup map[int]*CGroup
 	rootSet  CPUSet
+	nodeMask []CPUSet // nodeMask[n] = nodeSet(topo, n), for placement
 
 	stats Stats
 	tick  int
@@ -131,19 +148,32 @@ func New(m *numa.Machine, cfg Config) *Scheduler {
 	if cfg.BalanceThreshold == 0 {
 		cfg.BalanceThreshold = 2
 	}
+	nodeMask := make([]CPUSet, topo.NodeCount)
+	for n := range nodeMask {
+		nodeMask[n] = nodeSet(topo, numa.NodeID(n))
+	}
 	return &Scheduler{
 		machine:  m,
 		topo:     topo,
 		cfg:      cfg,
 		queues:   make([]deque.Deque[*Thread], topo.TotalCores()),
-		threads:  make(map[TID]*Thread),
 		nextTID:  1,
-		blocked:  make(map[int]*blockedSet),
+		procs:    make(map[int]*proc),
 		groups:   make(map[string]*CGroup),
-		pidGroup: make(map[int]*CGroup),
 		rootSet:  FullSet(topo),
+		nodeMask: nodeMask,
 		execCtx:  make([]ExecContext, topo.TotalCores()),
 	}
+}
+
+// procOf returns pid's record, creating it on first use.
+func (s *Scheduler) procOf(pid int) *proc {
+	p := s.procs[pid]
+	if p == nil {
+		p = &proc{}
+		s.procs[pid] = p
+	}
+	return p
 }
 
 // Machine returns the underlying hardware model.
@@ -264,7 +294,7 @@ func (s *Scheduler) NewCGroup(name string) *CGroup {
 // kernel refuses to starve a pinned thread).
 func (s *Scheduler) allowedSet(t *Thread) CPUSet {
 	set := s.rootSet
-	if g, ok := s.pidGroup[t.PID]; ok {
+	if g := t.proc.group; g != nil {
 		set = g.cpus
 	}
 	if !t.pinned.IsEmpty() {
@@ -299,10 +329,12 @@ func NearNode(n numa.NodeID) SpawnOption {
 // apart (Section II-A: "the OS scheduler attempts to leave them on remote
 // nodes balancing thus the CPU load").
 func (s *Scheduler) Spawn(pid int, name string, r Runner, opts ...SpawnOption) *Thread {
+	p := s.procOf(pid)
 	t := &Thread{
 		ID:        s.nextTID,
 		PID:       pid,
 		Name:      name,
+		proc:      p,
 		runner:    r,
 		state:     Runnable,
 		spawned:   s.machine.Now(),
@@ -314,7 +346,11 @@ func (s *Scheduler) Spawn(pid int, name string, r Runner, opts ...SpawnOption) *
 	}
 	t.core = s.placementCore(t)
 	s.pushBack(t.core, t)
-	s.threads[t.ID] = t
+	if len(p.threads) >= 2*p.live+compactSlack {
+		p.compact()
+	}
+	p.threads = append(p.threads, t)
+	p.live++
 	s.stats.Spawned++
 	return t
 }
@@ -322,92 +358,44 @@ func (s *Scheduler) Spawn(pid int, name string, r Runner, opts ...SpawnOption) *
 // placementCore picks the spawn/wake core for a thread.
 func (s *Scheduler) placementCore(t *Thread) numa.CoreID {
 	allowed := s.allowedSet(t)
-	if t.spawnHint != numa.NoNode {
+	if h := int(t.spawnHint); h >= 0 && h < len(s.nodeMask) {
 		// Fork-local placement: least-loaded allowed core on the hinted
 		// node; spreading is the balancer's job, not placement's.
-		if cores := allowed.CoresOnNode(s.topo, t.spawnHint); len(cores) > 0 {
-			best, bestLen := cores[0], s.queues[cores[0]].Len()
-			for _, c := range cores[1:] {
-				if l := s.queues[c].Len(); l < bestLen {
-					best, bestLen = c, l
-				}
-			}
-			return best
+		if on := allowed & s.nodeMask[h]; on != 0 {
+			return s.leastLoaded(on)
 		}
 	}
 	// Node with the least queued threads among allowed cores first.
-	bestNode, bestNodeLoad := numa.NodeID(-1), 1<<30
-	for n := 0; n < s.topo.NodeCount; n++ {
-		cores := allowed.CoresOnNode(s.topo, numa.NodeID(n))
-		if len(cores) == 0 {
+	bestNode, bestNodeLoad := 0, 1<<30
+	for n, mask := range s.nodeMask {
+		on := allowed & mask
+		if on == 0 {
 			continue
 		}
 		load := 0
-		for _, c := range cores {
-			load += s.queues[c].Len()
+		for v := uint64(on); v != 0; v &= v - 1 {
+			load += s.queues[bits.TrailingZeros64(v)].Len()
 		}
 		// Normalize by core count so a node with more allowed cores is
 		// not penalized for its capacity.
-		norm := load * 16 / len(cores)
-		if norm < bestNodeLoad {
-			bestNodeLoad, bestNode = norm, numa.NodeID(n)
+		if norm := load * 16 / on.Count(); norm < bestNodeLoad {
+			bestNodeLoad, bestNode = norm, n
 		}
 	}
+	return s.leastLoaded(allowed & s.nodeMask[bestNode])
+}
+
+// leastLoaded returns the member core with the shortest run queue,
+// the lowest-numbered one on ties.
+func (s *Scheduler) leastLoaded(set CPUSet) numa.CoreID {
 	best, bestLen := numa.CoreID(-1), 1<<30
-	for _, c := range allowed.CoresOnNode(s.topo, bestNode) {
+	for v := uint64(set); v != 0; v &= v - 1 {
+		c := bits.TrailingZeros64(v)
 		if l := s.queues[c].Len(); l < bestLen {
-			best, bestLen = c, l
+			best, bestLen = numa.CoreID(c), l
 		}
 	}
 	return best
-}
-
-// blockThread registers a thread that just entered the Blocked state,
-// keeping its PID's set TID-sorted: O(1) at either end, shift-the-shorter-
-// side in the middle.
-func (s *Scheduler) blockThread(t *Thread) {
-	bs := s.blocked[t.PID]
-	if bs == nil {
-		bs = &blockedSet{}
-		s.blocked[t.PID] = bs
-	}
-	n := bs.items.Len()
-	switch {
-	case n == 0 || bs.items.At(n-1).ID < t.ID:
-		bs.items.PushBack(t)
-	case t.ID < bs.items.At(0).ID:
-		bs.items.PushFront(t)
-	default:
-		bs.items.InsertAt(searchBlocked(&bs.items, t.ID), t)
-	}
-}
-
-// searchBlocked returns the insertion slot for id in the TID-sorted set
-// (a closure-free sort.Search).
-func searchBlocked(items *deque.Deque[*Thread], id TID) int {
-	lo, hi := 0, items.Len()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if items.At(mid).ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// unblockThread removes a thread from its PID's blocked set. Absence is
-// tolerated: a WakeAll drain detaches the set before waking its members.
-func (s *Scheduler) unblockThread(t *Thread) {
-	bs := s.blocked[t.PID]
-	if bs == nil || bs.items.Len() == 0 {
-		return
-	}
-	i := searchBlocked(&bs.items, t.ID)
-	if i < bs.items.Len() && bs.items.At(i) == t {
-		bs.items.RemoveAt(i)
-	}
 }
 
 // Wake moves a Blocked thread back onto a run queue. The kernel prefers
@@ -418,7 +406,6 @@ func (s *Scheduler) Wake(t *Thread) {
 	if t.state != Blocked {
 		return
 	}
-	s.unblockThread(t)
 	allowed := s.allowedSet(t)
 	target := t.core
 	if !allowed.Contains(target) {
@@ -458,40 +445,35 @@ func (s *Scheduler) Wake(t *Thread) {
 // WakeAll wakes every Blocked thread owned by pid (a task queue became
 // non-empty), in ascending TID order.
 func (s *Scheduler) WakeAll(pid int) {
+	p := s.procs[pid]
+	if p == nil {
+		return
+	}
+	// One pass over the spawn-ordered list drops Done threads and
+	// gathers the Blocked ones in ascending TID order; waking happens
+	// after, so nothing mutates the list mid-scan.
+	batch := s.wakeBatch[:0]
+	kept := p.threads[:0]
+	for _, t := range p.threads {
+		switch t.state {
+		case Done:
+			continue
+		case Blocked:
+			batch = append(batch, t)
+		}
+		kept = append(kept, t)
+	}
+	clear(p.threads[len(kept):])
+	p.threads = kept
 	if s.cfg.Naive {
-		// Original path: scan the global thread table and sort.
-		ids := make([]TID, 0)
-		for id, t := range s.threads {
-			if t.PID == pid && t.state == Blocked {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			s.Wake(s.threads[id])
-		}
-		return
+		// The original path sorted its gathered wake set.
+		sort.Slice(batch, func(i, j int) bool { return batch[i].ID < batch[j].ID })
 	}
-	bs := s.blocked[pid]
-	if bs == nil || bs.items.Len() == 0 {
-		return
-	}
-	n := bs.items.Len()
-	// Drain into the reusable scratch batch first: each Wake's
-	// unblockThread then sees an empty set instead of mutating the
-	// collection we iterate.
-	batch := bs.scratch[:0]
-	for i := 0; i < n; i++ {
-		batch = append(batch, bs.items.At(i))
-	}
-	bs.items.Clear()
 	for _, t := range batch {
 		s.Wake(t)
 	}
-	for i := range batch {
-		batch[i] = nil
-	}
-	bs.scratch = batch[:0]
+	clear(batch)
+	s.wakeBatch = batch[:0]
 }
 
 // recordMigration updates counters and fires the trace hook for a thread
@@ -653,10 +635,9 @@ func (s *Scheduler) runCore(core numa.CoreID, start uint64) {
 		case done:
 			t.state = Done
 			t.exited = s.machine.Now() + (s.cfg.Quantum - budget)
-			delete(s.threads, t.ID)
+			t.proc.live--
 		case blocked:
 			t.state = Blocked
-			s.blockThread(t)
 		default:
 			t.state = Runnable
 			s.pushBack(core, t)
@@ -812,4 +793,10 @@ func (s *Scheduler) QueueLengths() []int {
 }
 
 // LiveThreads returns the number of threads not yet Done.
-func (s *Scheduler) LiveThreads() int { return len(s.threads) }
+func (s *Scheduler) LiveThreads() int {
+	n := 0
+	for _, p := range s.procs {
+		n += p.live
+	}
+	return n
+}

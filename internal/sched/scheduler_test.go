@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"elasticore/internal/faults"
@@ -310,5 +311,128 @@ func TestCoreSlowdown(t *testing.T) {
 	s.SetCoreSlowdown(0, 1)
 	if !s.RunUntil(func() bool { return th.State() == Done }, 100*q) {
 		t.Fatal("thread did not finish after the stall lifted")
+	}
+}
+
+// refPlacementCore is the reference for placementCore: the per-core walk
+// over each node's cores in Topology.Cores order that placement used
+// before it became bitmask arithmetic.
+func refPlacementCore(s *Scheduler, t *Thread) numa.CoreID {
+	coresOn := func(set CPUSet, n numa.NodeID) []numa.CoreID {
+		var out []numa.CoreID
+		for _, c := range s.topo.Cores(n) {
+			if set.Contains(c) {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	allowed := s.allowedSet(t)
+	if t.spawnHint != numa.NoNode {
+		if cores := coresOn(allowed, t.spawnHint); len(cores) > 0 {
+			best, bestLen := cores[0], s.queues[cores[0]].Len()
+			for _, c := range cores[1:] {
+				if l := s.queues[c].Len(); l < bestLen {
+					best, bestLen = c, l
+				}
+			}
+			return best
+		}
+	}
+	bestNode, bestNodeLoad := numa.NodeID(-1), 1<<30
+	for n := 0; n < s.topo.NodeCount; n++ {
+		cores := coresOn(allowed, numa.NodeID(n))
+		if len(cores) == 0 {
+			continue
+		}
+		load := 0
+		for _, c := range cores {
+			load += s.queues[c].Len()
+		}
+		if norm := load * 16 / len(cores); norm < bestNodeLoad {
+			bestNodeLoad, bestNode = norm, numa.NodeID(n)
+		}
+	}
+	best, bestLen := numa.CoreID(-1), 1<<30
+	for _, c := range coresOn(allowed, bestNode) {
+		if l := s.queues[c].Len(); l < bestLen {
+			best, bestLen = c, l
+		}
+	}
+	return best
+}
+
+// TestPlacementMatchesReference cross-checks placementCore against
+// refPlacementCore on every zoo topology: random queue loads, cgroup
+// cpusets, pins and NearNode hints, including hints outside the
+// topology, which both must ignore.
+func TestPlacementMatchesReference(t *testing.T) {
+	for _, name := range numa.ZooNames() {
+		topo := numa.Zoo()[name]
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		full := FullSet(topo)
+		randomSet := func() CPUSet {
+			for {
+				if set := CPUSet(rng.Uint64()) & full; !set.IsEmpty() {
+					return set
+				}
+			}
+		}
+		s := New(numa.NewMachine(topo), Config{})
+		g := s.NewCGroup("g")
+		g.AddPID(1)
+		for i := 0; i < 3*topo.TotalCores(); i++ {
+			s.Spawn(2, "load", spinWork{}, Pinned(NewCPUSet(numa.CoreID(rng.Intn(topo.TotalCores())))))
+		}
+		for trial := 0; trial < 500; trial++ {
+			g.SetCPUs(randomSet())
+			probe := &Thread{PID: 1 + rng.Intn(2), spawnHint: numa.NoNode}
+			probe.proc = s.procOf(probe.PID)
+			if rng.Intn(3) == 0 {
+				probe.pinned = randomSet()
+			}
+			if rng.Intn(4) != 0 {
+				probe.spawnHint = numa.NodeID(rng.Intn(topo.NodeCount+6) - 3)
+			}
+			if got, want := s.placementCore(probe), refPlacementCore(s, probe); got != want {
+				t.Fatalf("%s trial %d: placementCore = %d, reference %d (allowed %v, hint %d, queues %v)",
+					name, trial, got, want, s.allowedSet(probe), probe.spawnHint, s.QueueLengths())
+			}
+			if rng.Intn(2) == 0 {
+				s.Spawn(2, "load", spinWork{}, Pinned(NewCPUSet(numa.CoreID(rng.Intn(topo.TotalCores())))))
+			}
+		}
+	}
+}
+
+// TestSpawnAllocs pins Spawn's allocations: the Thread itself and
+// nothing else, with or without a placement hint.
+func TestSpawnAllocs(t *testing.T) {
+	s := newTestSched()
+	near := NearNode(1)
+	if allocs := testing.AllocsPerRun(1000, func() { s.Spawn(1, "w", spinWork{}, near) }); allocs != 1 {
+		t.Fatalf("Spawn allocated %v times per call, want 1", allocs)
+	}
+}
+
+// TestThreadListStaysBounded: a process that spawns and finishes threads
+// without ever calling WakeAll still keeps its thread list within twice
+// its live count plus compactSlack.
+func TestThreadListStaysBounded(t *testing.T) {
+	s := newTestSched()
+	quick := RunnerFunc(func(_ *ExecContext, _ uint64) (uint64, bool, bool) { return 1, false, true })
+	s.Spawn(1, "resident", spinWork{})
+	p := s.procs[1]
+	longest := 0
+	for i := 0; i < 100000; i++ {
+		s.Spawn(1, "quick", quick)
+		s.Tick()
+		longest = max(longest, len(p.threads))
+	}
+	if p.live != 1 || s.LiveThreads() != 1 {
+		t.Fatalf("live = %d, LiveThreads = %d, want 1", p.live, s.LiveThreads())
+	}
+	if bound := 2*1 + compactSlack + 1; longest > bound {
+		t.Fatalf("thread list reached %d entries for 1 live thread, want <= %d", longest, bound)
 	}
 }

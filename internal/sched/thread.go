@@ -86,6 +86,7 @@ type Thread struct {
 	PID  int    // process the thread belongs to (cgroup membership key)
 	Name string // diagnostic label, e.g. "worker3" or "client17"
 
+	proc   *proc // the owning process's record
 	runner Runner
 	state  State
 	core   numa.CoreID // current queue assignment
